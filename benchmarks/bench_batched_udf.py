@@ -23,8 +23,8 @@ Asserted here (the PR's acceptance criteria):
   i.e. running all 10,000 activations),
 * EXPLAIN names the ``BatchedUdf`` operator for the batched plan and not
   for the scalar one,
-* both strategies of the operator ("machine" and "sql") and the scalar
-  path return identical results.
+* the batched trampoline machine and the scalar path return identical
+  results.
 """
 
 from __future__ import annotations
@@ -66,10 +66,9 @@ def _build_db() -> Database:
     return db
 
 
-def _timed(db: Database, batched: bool, strategy: str = "machine",
-           dedup: bool = True, runs: int = 3) -> float:
+def _timed(db: Database, batched: bool, dedup: bool = True,
+           runs: int = 3) -> float:
     db.planner.batch_compiled = batched
-    db.planner.batch_strategy = strategy
     db.planner.batch_dedup = dedup
     db.clear_plan_cache()
     return time_query(db, QUERY, runs=runs, warmup=1).minimum
@@ -78,33 +77,27 @@ def _timed(db: Database, batched: bool, strategy: str = "machine",
 def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
     db = _build_db()
 
-    # Sanity: all three evaluation paths agree before we time anything.
+    # Sanity: both evaluation paths agree before we time anything.
     db.planner.batch_compiled = True
-    db.planner.batch_strategy = "machine"
     db.clear_plan_cache()
     machine_rows = db.query_all(QUERY)
     explain_batched = db.explain(QUERY)
-    db.planner.batch_strategy = "sql"
-    db.clear_plan_cache()
-    sql_rows = db.query_all(QUERY)
     db.planner.batch_compiled = False
     db.clear_plan_cache()
     scalar_rows = db.query_all(QUERY)
     explain_scalar = db.explain(QUERY)
-    assert machine_rows == sql_rows == scalar_rows
+    assert machine_rows == scalar_rows
     assert "BatchedUdf" in explain_batched
     assert "BatchedUdf" not in explain_scalar
 
-    machine_s = _timed(db, batched=True, strategy="machine")
-    raw_s = _timed(db, batched=True, strategy="machine", dedup=False)
-    sql_s = _timed(db, batched=True, strategy="sql", runs=1)
+    machine_s = _timed(db, batched=True)
+    raw_s = _timed(db, batched=True, dedup=False)
     scalar_s = _timed(db, batched=False, runs=1)
     speedup = scalar_s / machine_s
     raw_speedup = scalar_s / raw_s
 
     # One instrumented run for the new profiler counters.
     db.planner.batch_compiled = True
-    db.planner.batch_strategy = "machine"
     db.planner.batch_dedup = True
     db.clear_plan_cache()
     db.profiler.enabled = True
@@ -121,8 +114,6 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
 
     rows = [
         ["scalar subquery per row (seed path)", round(scalar_s * 1000, 1)],
-        ["batched Qf via generic executor (batch_strategy=sql)",
-         round(sql_s * 1000, 1)],
         ["batched, trampoline machine, no arg dedup",
          round(raw_s * 1000, 1)],
         ["batched, trampoline machine (default)",
@@ -142,7 +133,6 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
         "rows": ROWS,
         "timings_s": {
             "scalar_per_row": scalar_s,
-            "batched_sql_strategy": sql_s,
             "batched_machine_no_dedup": raw_s,
             "batched_machine": machine_s,
         },
@@ -155,6 +145,5 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
         f"no-dedup trampoline only {raw_speedup:.1f}x faster"
 
     db.planner.batch_compiled = True
-    db.planner.batch_strategy = "machine"
     db.clear_plan_cache()
     benchmark.pedantic(lambda: db.query_all(QUERY), rounds=3, iterations=1)

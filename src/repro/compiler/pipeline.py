@@ -110,24 +110,18 @@ class CompiledFunction:
         """Register Qf with *db* so calls to it are inlined at plan time.
 
         Recursive, non-volatile functions additionally register the
-        *batched* Qf (one trampoline advancing a whole relation of calls;
-        see :func:`repro.compiler.template.build_batched_template_query`)
-        so the planner can evaluate ``SELECT f(x) FROM t`` set-oriented.
+        *batched* trampoline machine (one trampoline advancing a whole
+        relation of calls; see
+        :func:`repro.compiler.template.build_batched_machine`) so the
+        planner can evaluate ``SELECT f(x) FROM t`` set-oriented.
         """
-        from .template import (batch_input_columns, build_batched_machine,
-                               build_batched_template_query,
-                               udf_contains_volatile)
-        batched_query = None
-        batch_columns = None
+        from .template import build_batched_machine, udf_contains_volatile
         batch_machine = None
         if self.is_recursive and not udf_contains_volatile(self.udf):
-            batched_query = build_batched_template_query(self.udf)
-            batch_columns = batch_input_columns(self.udf)
             batch_machine = build_batched_machine(self.udf)
         return db.register_compiled_function(
             name or self.name, self.param_names, self.param_types,
             self.return_type, self.query,
-            batched_query=batched_query, batch_columns=batch_columns,
             batch_machine=batch_machine, source=self.source)
 
     def register_udf_form(self, db, name: Optional[str] = None) -> str:

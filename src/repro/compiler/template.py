@@ -37,20 +37,10 @@ from .udf import LET_STYLE_LATERAL, SqlUdf, translate_anf, udf_is_recursive
 
 RUN_ALIAS = "r"
 CALL_COLUMN = "call?"
-#: The batched template's caller row-key column and batch-input names.
-BATCH_KEY = "k"
-BATCH_ALIAS = "b"
-BATCH_TABLE = "__batch_input"
 
 
 def run_columns(udf: SqlUdf) -> list[str]:
     return [CALL_COLUMN] + udf.rec_params + ["result"]
-
-
-def batch_input_columns(udf: SqlUdf) -> list[str]:
-    """Schema of the batch-input relation feeding the batched template:
-    one caller row key plus one column per UDF parameter."""
-    return [BATCH_KEY] + [p.lower() for p in udf.params]
 
 
 def _call_row(udf: SqlUdf, call: AnfCall) -> A.Expr:
@@ -218,76 +208,6 @@ def udf_contains_volatile(udf: SqlUdf) -> bool:
     return any(check(func.body) for func in udf.anf.functions.values())
 
 
-def build_batched_template_query(udf: SqlUdf,
-                                 batch_table: str = BATCH_TABLE) -> A.SelectStmt:
-    """The set-oriented Qf: one trampoline advancing *all* pending calls.
-
-    The scalar template (Fig. 8) simulates one activation of ``f*``; applied
-    per caller row it re-runs the whole recursive CTE N times.  The batched
-    variant instead seeds the working set from a *batch-input* relation
-    ``__batch_input(k, <params...>)`` — one machine state per caller row,
-    tagged with the caller's row key ``k`` — and carries ``k`` through every
-    step, so a single ``WITH RECURSIVE`` evaluation advances every pending
-    call in lock-step::
-
-        WITH RECURSIVE run(k, "call?", fn, <vars...>, result) AS (
-          SELECT b.k, <adapted main>            -- one seed per caller row
-          FROM __batch_input AS b
-          UNION ALL
-          SELECT r.k, <adapted body>            -- all pending calls advance
-          FROM run AS r WHERE r."call?"
-        )
-        SELECT r.k, r.result FROM run AS r WHERE NOT r."call?"
-
-    The run columns use the LATERAL-free split rewrite (each column an
-    independent scalar expression) so a step over N machine states is N
-    plain expression evaluations instead of N lateral subquery rescans.
-    ``WITH ITERATE`` is never used here: callers finish at different steps,
-    and ITERATE would drop every result produced before the last one.
-    """
-    if not udf_is_recursive(udf):
-        raise CompileError("the batched template requires a recursive UDF; "
-                           "loop-free functions inline as plain expressions")
-    _assert_not_volatile(udf)
-    columns = run_columns(udf)
-    anf = udf.anf
-    # SSA names always carry a version suffix ("x_1"), so the bare batch
-    # key cannot collide with machine-state columns.
-    assert BATCH_KEY not in columns
-
-    param_map = {name: A.ColumnRef((BATCH_ALIAS, name.lower()))
-                 for name in udf.params}
-    entry = anf.functions[anf.entry]
-    base_items = [A.SelectItem(A.ColumnRef((BATCH_ALIAS, BATCH_KEY)),
-                               alias=BATCH_KEY)]
-    base_items.extend(
-        A.SelectItem(e, alias=columns[i]) for i, e in enumerate(
-            _split_column_exprs(udf, entry.body, lambda n: param_map.get(n))))
-    base_core = A.SelectCore(
-        items=base_items,
-        from_clause=A.TableName(batch_table, alias=BATCH_ALIAS))
-
-    rec_items = [A.SelectItem(A.ColumnRef((RUN_ALIAS, BATCH_KEY)),
-                              alias=BATCH_KEY)]
-    rec_items.extend(_split_rec_items(udf))
-    rec_core = A.SelectCore(
-        items=rec_items,
-        from_clause=A.TableName("run", alias=RUN_ALIAS),
-        where=A.ColumnRef((RUN_ALIAS, CALL_COLUMN)))
-
-    cte = A.CommonTableExpr(
-        "run", [BATCH_KEY] + list(columns),
-        A.SelectStmt(None, A.SetOp("union_all", base_core, rec_core)))
-    final_core = A.SelectCore(
-        items=[A.SelectItem(A.ColumnRef((RUN_ALIAS, BATCH_KEY)),
-                            alias=BATCH_KEY),
-               A.SelectItem(A.ColumnRef((RUN_ALIAS, "result")),
-                            alias="result")],
-        from_clause=A.TableName("run", alias=RUN_ALIAS),
-        where=A.UnaryOp("not", A.ColumnRef((RUN_ALIAS, CALL_COLUMN))))
-    return A.SelectStmt(A.WithClause(recursive=True, ctes=[cte]), final_core)
-
-
 def build_template_query(udf: SqlUdf, iterate: bool = False,
                          let_style: str = LET_STYLE_LATERAL) -> A.SelectStmt:
     """Produce the pure-SQL query Qf for *udf*.
@@ -382,14 +302,16 @@ def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
 # The machine form of the batched template
 # ---------------------------------------------------------------------------
 #
-# The batched Qf above *spells* a state machine in SQL: every run row is a
+# The Figure 8 template *spells* a state machine in SQL: every run row is a
 # machine state ``(fn, <vars...>)`` and the recursive term is its transition
-# function.  The engine's BatchedUdf operator can evaluate that machine
-# directly — compiled condition/argument expressions over the working set,
-# no generic operator overhead per step — exactly as WITH ITERATE is an
-# engine-side evaluation strategy for the same template.  The structures
-# below are that machine, handed to the engine alongside the SQL form
-# (``planner.batch_strategy`` picks which one runs; both must agree).
+# function.  Seeding the working set with one state per caller row, tagged
+# with the caller's row key, advances a whole relation of calls in
+# lock-step.  The engine's BatchedUdf operator evaluates that set-oriented
+# machine directly — compiled condition/argument expressions over the
+# working set, no generic operator overhead per step — exactly as WITH
+# ITERATE is an engine-side evaluation strategy for the same template.  The
+# structures below are that machine; the per-row scalar Qf stays the
+# differential reference for it.
 
 
 @dataclass
@@ -428,7 +350,7 @@ class MachineResult:
 
 @dataclass
 class BatchedMachine:
-    """The batched template's trampoline as explicit transition rules.
+    """The set-oriented trampoline as explicit transition rules.
 
     ``base`` is evaluated over one row of ``(param_columns)`` per caller;
     ``transitions[label]`` over one state row of ``(state_columns)``, where
@@ -447,7 +369,7 @@ class BatchedMachine:
 
 
 def build_batched_machine(udf: SqlUdf) -> BatchedMachine:
-    """Derive the transition rules of the batched template from the ANF."""
+    """Derive the set-oriented trampoline's transition rules from the ANF."""
     if not udf_is_recursive(udf):
         raise CompileError("the machine form requires a recursive UDF")
     _assert_not_volatile(udf)

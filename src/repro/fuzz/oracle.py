@@ -257,8 +257,8 @@ def settings_matrix(db: Database) -> list[OracleConfig]:
             if value != defaults[setting.name]:
                 add(f"defaults+{setting.name}={setting.format(value)}",
                     {**defaults, setting.name: value})
-    nocache = OracleConfig("defaults+plan_cache_enabled=off",
-                           ("SET plan_cache_enabled = off",))
+    nocache = OracleConfig("defaults+plan_cache_size=0",
+                           ("SET plan_cache_size = 0",))
     configs.append(nocache)
     return configs
 

@@ -60,17 +60,12 @@ class FunctionDef:
     impl: Optional[Callable] = None
     body: Optional[str] = None
     query: Optional[A.SelectStmt] = None
-    #: Set-oriented variant of ``query`` for compiled functions: a batched
-    #: Qf reading its arguments from a ``__batch_input(k, <params>)``
-    #: relation so the planner can advance a whole relation of calls in one
-    #: trampoline (see repro.compiler.template.build_batched_template_query).
-    #: None when the function is loop-free or volatile — those stay on the
-    #: per-row scalar path.
-    batched_query: Optional[A.SelectStmt] = None
-    batch_columns: list[str] = field(default_factory=list)
-    #: The same trampoline as explicit transition rules (the batched
-    #: template's machine form; repro.compiler.template.BatchedMachine).
-    #: The BatchedUdf operator's default strategy evaluates this directly.
+    #: Set-oriented form of ``query`` for compiled functions: the batched
+    #: trampoline as explicit transition rules
+    #: (repro.compiler.template.BatchedMachine), which the BatchedUdf
+    #: operator runs over a whole relation of calls at once.  None when
+    #: the function is loop-free or volatile — those stay on the per-row
+    #: scalar path.
     batch_machine: object = None
     #: Volatility class declared in CREATE FUNCTION (IMMUTABLE/STABLE/
     #: VOLATILE), or None when omitted — then the analyzer's inference
@@ -84,8 +79,9 @@ class FunctionDef:
     plsql_source: object = None
     # Caches populated by front ends on first use:
     parsed_body: object = None
-    #: Plan-time cache for the batched query: ``(batch CteDef, Plan)``,
-    #: shared across call sites and reset by Database.clear_plan_cache().
+    #: Plan-time cache for the compiled batch machine
+    #: (executor.batched_udf.MachineCallPlan), shared across call sites and
+    #: reset by Database.clear_plan_cache().
     batched_plan: object = None
     #: Facts cached by the static analyzer (repro.analysis.volatility):
     #: inferred volatility class, whether the body may raise at run time,

@@ -296,7 +296,6 @@ class Database:
         #: max_udf_depth guard above; lower it for tests, raise it for
         #: genuinely long-running functions.
         self.max_interp_statements = 10_000_000
-        self.plan_cache_enabled = True
         #: LRU bound on cached statement plans (``SET plan_cache_size``);
         #: 0 disables statement-plan caching entirely.
         self.plan_cache_size = 256
@@ -424,7 +423,7 @@ class Database:
     # ------------------------------------------------------------------
 
     def _cache_enabled(self) -> bool:
-        return self.plan_cache_enabled and self.plan_cache_size > 0
+        return self.plan_cache_size > 0
 
     def _execute_info(self, sql: str, params: Sequence[Value],
                       session: "Connection") -> tuple[str, Result]:
@@ -785,7 +784,7 @@ class Database:
             if plan is None:
                 with self.profiler.phase(PLAN):
                     plan = self.planner.plan_select(fdef.query)
-                if self.plan_cache_enabled:
+                if self._cache_enabled():
                     fdef.parsed_body = plan
             return self._run_plan(plan, args).scalar()
         raise ExecutionError(f"unknown function kind {fdef.kind!r}")
@@ -837,8 +836,6 @@ class Database:
     def register_compiled_function(self, name: str, param_names: list[str],
                                    param_types: list[str], return_type: str,
                                    query: A.SelectStmt,
-                                   batched_query: Optional[A.SelectStmt] = None,
-                                   batch_columns: Optional[list[str]] = None,
                                    batch_machine: object = None,
                                    source: object = None,
                                    declared_volatility: Optional[str] = None,
@@ -847,8 +844,8 @@ class Database:
 
         Subsequent queries calling ``name(...)`` get the query inlined at
         plan time (replacing any previous PL/pgSQL definition).  When
-        *batched_query* is supplied (see
-        :func:`repro.compiler.template.build_batched_template_query`), the
+        *batch_machine* is supplied (see
+        :func:`repro.compiler.template.build_batched_machine`), the
         planner may evaluate whole relations of calls through one
         set-oriented trampoline instead of one scalar subquery per row.
         """
@@ -856,8 +853,6 @@ class Database:
                            param_names=list(param_names),
                            param_types=list(param_types),
                            return_type=return_type, query=query,
-                           batched_query=batched_query,
-                           batch_columns=list(batch_columns or []),
                            batch_machine=batch_machine,
                            plsql_source=source,
                            declared_volatility=declared_volatility)

@@ -9,28 +9,16 @@ row.  This module evaluates the same workload through **one** trampoline:
 2. for each batched call site the argument expressions are evaluated per
    row, producing a *batch input* relation ``(k, <args...>)`` keyed by the
    row's position,
-3. the function's batched Qf (see
-   :func:`repro.compiler.template.build_batched_template_query`) runs once,
-   its recursive working set carrying ``k`` alongside the machine state so
-   every pending call advances in lock-step,
+3. the function's batched trampoline runs once, in its *machine form*
+   (:class:`repro.compiler.template.BatchedMachine`): the transition
+   rules of the set-oriented template, evaluated as compiled expression
+   closures over a working set that carries ``k`` alongside the machine
+   state, so every pending call advances in lock-step — one
+   condition/argument evaluation per pending call per step, no generic
+   operator overhead (the same engine-side move as ``WITH ITERATE``),
 4. the ``(k, result)`` output is joined back positionally — a key join on
    ``k`` against an array — and exposed to the projection as the
    ``__batch`` relation.
-
-Two interchangeable evaluation strategies execute the trampoline
-(``planner.batch_strategy``):
-
-* ``"machine"`` (default) — the batched template's *machine form*
-  (:class:`repro.compiler.template.BatchedMachine`): the transition rules
-  the SQL template spells out, evaluated as compiled expression closures
-  over the working set.  One condition/argument evaluation per pending
-  call per step, no generic operator overhead — the same engine-side move
-  as ``WITH ITERATE``.
-* ``"sql"`` — plan the batched Qf like any query and run it through the
-  generic recursive-CTE executor, with the batch input injected as a
-  pre-materialized CTE.  Slower, but shares every code path with ordinary
-  queries; the differential tests hold both strategies to identical
-  results.
 
 The per-row scalar path remains the fallback: volatile argument
 expressions, volatile function bodies, loop-free functions, calls outside
@@ -48,8 +36,6 @@ from ..profiler import (BATCHED_UDF_BATCHES, BATCHED_UDF_DISTINCT,
                         BATCHED_UDF_ROWS, TRAMPOLINE_ITERATIONS,
                         TRAMPOLINE_WORKING_ROWS)
 from ..values import Row
-from .base import Plan
-from .recursion import CteDef, CteRuntime, InstantiationContext
 from .scan import make_slots
 
 
@@ -63,9 +49,6 @@ def _dedup_key(value):
     if isinstance(value, list):
         return ("arr",) + tuple(_dedup_key(v) for v in value)
     return (type(value).__name__, value)
-
-#: Sentinel distinguishing "no result row arrived for this k" from NULL.
-_MISSING = object()
 
 
 class BatchedUdfStagePlan:
@@ -88,7 +71,7 @@ class BatchedUdfStagePlan:
     def explain(self, indent: int = 0) -> str:
         lines = []
         for call in self.calls:
-            tags = f"one trampoline, keyed on k; {call.strategy}"
+            tags = "one trampoline, keyed on k"
             if call.volatility:
                 tags += f"; volatility={call.volatility}"
             lines.append("  " * indent
@@ -159,7 +142,7 @@ class BatchedUdfStageState:
 
 
 # ---------------------------------------------------------------------------
-# Strategy: "machine" — compiled transition rules over the working set
+# The trampoline machine — compiled transition rules over the working set
 # ---------------------------------------------------------------------------
 
 
@@ -278,8 +261,6 @@ def _compile_node(node, planner, rels: list, subplans: list):
 class MachineCallPlan:
     """One batched call site evaluated via compiled transition rules."""
 
-    strategy = "machine"
-
     __slots__ = ("name", "arg_display", "args", "volatility", "base",
                  "base_subplans", "transitions", "trans_subplans")
 
@@ -385,76 +366,3 @@ class MachineCallState:
 
     def close(self) -> None:
         pass
-
-
-# ---------------------------------------------------------------------------
-# Strategy: "sql" — the batched Qf through the generic executor
-# ---------------------------------------------------------------------------
-
-
-class SqlCallPlan:
-    """One batched call site evaluated by planning the batched Qf and
-    injecting the batch input as a pre-materialized CTE."""
-
-    strategy = "sql"
-
-    __slots__ = ("name", "arg_display", "args", "volatility",
-                 "inner_plan", "batch_def")
-
-    def __init__(self, inner_plan: Plan, batch_def: CteDef):
-        self.name = ""
-        self.arg_display = ""
-        self.args: list = []
-        self.volatility = ""
-        self.inner_plan = inner_plan
-        self.batch_def = batch_def
-
-    def at_call_site(self, name: str, arg_display: str,
-                     args: list) -> "SqlCallPlan":
-        site = SqlCallPlan(self.inner_plan, self.batch_def)
-        site.name = name
-        site.arg_display = arg_display
-        site.args = args
-        site.volatility = self.volatility
-        return site
-
-    def explain_children(self, indent: int) -> list[str]:
-        return [self.inner_plan.explain(indent)]
-
-    def instantiate(self, rt, ictx) -> "SqlCallState":
-        return SqlCallState(rt, self)
-
-
-class SqlCallState:
-    __slots__ = ("rt", "plan", "runtime", "state")
-
-    def __init__(self, rt, plan: SqlCallPlan):
-        self.rt = rt
-        self.plan = plan
-        # Bind the batch-input CteDef to a runtime whose rows this state
-        # injects directly (there is no defining plan to materialize).
-        ictx = InstantiationContext()
-        self.runtime = CteRuntime(plan.batch_def, rt)
-        ictx.bindings[plan.batch_def] = self.runtime
-        self.state = plan.inner_plan.instantiate(rt, ictx)
-
-    def run(self, batch_rows: list[tuple]) -> list:
-        """One trampoline over *batch_rows*; results aligned with k."""
-        self.runtime.rows = batch_rows
-        self.state.open(None)
-        results: list = [_MISSING] * len(batch_rows)
-        for row in self.state.fetch_all():
-            k = row[0]
-            if results[k] is not _MISSING:
-                raise ExecutionError(
-                    f"batched evaluation of {self.plan.name}() produced "
-                    "more than one result row for a single call")
-            results[k] = row[1]
-        if any(value is _MISSING for value in results):
-            raise ExecutionError(
-                f"batched evaluation of {self.plan.name}() lost a call "
-                "(no result row for its key)")
-        return results
-
-    def close(self) -> None:
-        self.state.close()

@@ -243,9 +243,6 @@ class ExprCompiler:
 
     # -- operators --------------------------------------------------------
 
-    _COMPARE_FNS = {"=": sql_eq, "<>": sql_ne, "<": sql_lt, "<=": sql_le,
-                    ">": sql_gt, ">=": sql_ge}
-
     def _compile_BinaryOp(self, expr: A.BinaryOp) -> CompiledExpr:
         op = expr.op
         if op == "and":
@@ -269,41 +266,22 @@ class ExprCompiler:
 
             return run_or
         left, right = self.compile(expr.left), self.compile(expr.right)
-        if op in self._COMPARE_FNS:
-            cmp_fn = self._COMPARE_FNS[op]
+        cmp_fn = COMPARE_FNS.get(op)
+        if cmp_fn is not None:
             return lambda ctx: cmp_fn(left(ctx), right(ctx))
         if op == "||":
             return lambda ctx: _concat(left(ctx), right(ctx))
-        arith = _ARITH_FNS.get(op)
-        if arith is None:
+        if op not in _ARITH_FNS:
             raise PlanError(f"unknown binary operator {op!r}")
-        fast = _INT_FAST_FNS.get(op)
-        if fast is None:
-            def run_arith(ctx: EvalContext):
-                a = left(ctx)
-                if a is None:
-                    return None
-                b = right(ctx)
-                if b is None:
-                    return None
-                return arith(a, b)
+        apply = arith_value_fn(op)
 
-            return run_arith
-
-        def run_arith_fast(ctx: EvalContext):
+        def run_arith(ctx: EvalContext):
             a = left(ctx)
             if a is None:
                 return None
-            b = right(ctx)
-            if b is None:
-                return None
-            if type(a) is int and type(b) is int:
-                # Exact-int fast path (bool is excluded by ``type() is``);
-                # / and % keep their SQL division/sign semantics helpers.
-                return fast(a, b)
-            return arith(a, b)
+            return apply(a, right(ctx))
 
-        return run_arith_fast
+        return run_arith
 
     def _compile_UnaryOp(self, expr: A.UnaryOp) -> CompiledExpr:
         operand = self.compile(expr.operand)
@@ -420,11 +398,9 @@ class ExprCompiler:
     def _compile_Cast(self, expr: A.Cast) -> CompiledExpr:
         operand = self.compile(expr.operand)
         type_name = expr.type_name
-        planner = self.planner
 
         def run(ctx: EvalContext):
-            composite = ctx.rt.catalog.get_type(type_name) if planner is not None \
-                else ctx.rt.catalog.get_type(type_name)
+            composite = ctx.rt.catalog.get_type(type_name)
             return cast_value(operand(ctx), type_name, composite)
 
         return run
@@ -700,13 +676,40 @@ def _pow(a, b):
         raise ExecutionError("value out of range: overflow")
 
 
+COMPARE_FNS = {"=": sql_eq, "<>": sql_ne, "<": sql_lt, "<=": sql_le,
+               ">": sql_gt, ">=": sql_ge}
+
 _ARITH_FNS = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _mod,
               "^": _pow}
 
-#: Exact-int shortcuts taken by ``run_arith`` (``^`` stays on the generic
-#: path: SQL power always yields double precision).
+#: Exact-int shortcuts taken by :func:`arith_value_fn` (``^`` stays on the
+#: generic path: SQL power always yields double precision).
 _INT_FAST_FNS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
                  "*": lambda a, b: a * b, "/": _int_div, "%": _int_mod}
+
+
+def arith_value_fn(op: str) -> Callable[[Value, Value], Value]:
+    """The value function of binary arithmetic *op*: NULL in, NULL out;
+    exact ints (bool excluded by ``type() is``) take the fast path, where
+    / and % keep their SQL division/sign semantics.  The row closure and
+    the batch kernel (:mod:`repro.sql.executor.vector`) both call it."""
+    arith = _ARITH_FNS[op]
+    fast = _INT_FAST_FNS.get(op)
+    if fast is None:
+        def apply(a, b):
+            if a is None or b is None:
+                return None
+            return arith(a, b)
+        return apply
+
+    def apply_fast(a, b):
+        if type(a) is int and type(b) is int:
+            return fast(a, b)
+        if a is None or b is None:
+            return None
+        return arith(a, b)
+
+    return apply_fast
 
 
 def _concat(a: Value, b: Value) -> Value:

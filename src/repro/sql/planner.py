@@ -29,8 +29,7 @@ from .astutil import (column_bindings, conjoin, contains_aggregate,
 from .errors import NameResolutionError, PlanError
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
-from .executor.batched_udf import (BatchedUdfStagePlan, SqlCallPlan,
-                                   compile_machine)
+from .executor.batched_udf import BatchedUdfStagePlan, compile_machine
 from .executor.fromtree import FromJoinPlan, FromLeafPlan, FromNodePlan
 from .executor.hashjoin import HashJoinPlan
 from .executor.mergejoin import MergeJoinPlan
@@ -117,12 +116,6 @@ class Planner:
         #: subquery per row.  Volatile arguments, volatile bodies, and
         #: loop-free functions always keep the scalar path.
         self.batch_compiled = True
-        #: How the BatchedUdf operator evaluates the trampoline:
-        #: "machine" runs the batched template's transition rules as
-        #: compiled closures over the working set; "sql" plans the batched
-        #: Qf and runs it through the generic recursive-CTE executor.
-        #: Both produce identical results (differentially tested).
-        self.batch_strategy = "machine"
         #: Share one trampoline activation between rows with identical
         #: argument vectors (sound: batching requires non-volatile
         #: functions).  Turn off to measure the raw trampoline.
@@ -458,7 +451,7 @@ class Planner:
         # the *original* AST — predicate pushdown split it between leaf
         # filter and residual, and for pure predicates the conjunction is
         # equivalent.  vectorize_core returns None when any expression is
-        # outside the supported subset, keeping this plan unchanged.
+        # not batch-pure, keeping this plan unchanged.
         if (not order_by and self.enable_vectorize
                 and window_stage is None and batch_stage is None
                 and len(relations) == 1
@@ -1280,7 +1273,13 @@ class Planner:
                 fdef = self.catalog.get_function(expr.name)
                 assert fdef is not None
                 column = f"__b{len(calls)}"
-                site = self._batched_qf_plan(fdef).at_call_site(
+                # One compiled machine per function, cached on the
+                # FunctionDef (it reads its arguments from the batch rows,
+                # so every call site shares it; clear_plan_cache resets it).
+                if fdef.batched_plan is None:
+                    fdef.batched_plan = compile_machine(fdef.batch_machine,
+                                                        self)
+                site = fdef.batched_plan.at_call_site(
                     fdef.name,
                     ", ".join(_display_expr(a) for a in expr.args),
                     [compiler.compile(a) for a in expr.args])
@@ -1303,7 +1302,7 @@ class Planner:
 
     def _batchable(self, call: A.FuncCall, scope: Scope) -> bool:
         """May *call* run through the batched trampoline?  Requires a
-        compiled function carrying a batched Qf (loop-free and volatile
+        compiled function carrying a batched machine (loop-free and volatile
         bodies never get one) and argument expressions whose evaluation can
         safely move into the batch stage — no subqueries, no volatile
         calls (``column_bindings``'s ``unknown`` oracle).  User-defined
@@ -1315,38 +1314,12 @@ class Planner:
             return False
         fdef = self.catalog.get_function(call.name)
         if fdef is None or fdef.kind != "compiled" \
-                or fdef.batched_query is None:
+                or fdef.batch_machine is None:
             return False
         if len(call.args) != fdef.arity:
             return False  # the scalar path raises the arity error
         return all(not column_bindings(arg, scope, self.catalog).unknown
                    for arg in call.args)
-
-    def _batched_qf_plan(self, fdef):
-        """The batched trampoline for *fdef*, per the current strategy.
-
-        Cached on the FunctionDef: the batched query takes its arguments
-        from the batch-input relation rather than spliced-in expressions,
-        so one compiled trampoline serves every call site
-        (Database.clear_plan_cache resets it)."""
-        strategy = self.batch_strategy
-        cached = fdef.batched_plan
-        if cached is not None and cached[0] == strategy:
-            return cached[1]
-        if strategy == "machine":
-            template = compile_machine(fdef.batch_machine, self)
-        elif strategy == "sql":
-            batch_def = CteDef("__batch_input",
-                               [c.lower() for c in fdef.batch_columns])
-            env = CteEnv()
-            env.defs[batch_def.name] = batch_def
-            plan = self.plan_select(fdef.batched_query, outer_scope=None,
-                                    cte_env=env)
-            template = SqlCallPlan(plan, batch_def)
-        else:
-            raise PlanError(f"unknown batch_strategy {strategy!r}")
-        fdef.batched_plan = (strategy, template)
-        return template
 
     def _resolve_window_spec(self, window, core: A.SelectCore) -> A.WindowSpec:
         if isinstance(window, str):

@@ -173,11 +173,6 @@ def _default_settings() -> list[Setting]:
         Setting(name, "planner", name, "bool", True, description)
         for name, description in planner_flags
     ]
-    settings.append(Setting(
-        "batch_strategy", "planner", "batch_strategy", "enum", True,
-        "How BatchedUdf runs the trampoline: compiled transition closures "
-        "(machine) or the batched Qf through the recursive-CTE executor "
-        "(sql).", choices=("machine", "sql")))
     settings.extend([
         Setting("max_udf_depth", "db", "max_udf_depth", "int", False,
                 "Stack-depth limit for directly recursive SQL UDFs.",
@@ -192,8 +187,6 @@ def _default_settings() -> list[Setting]:
         Setting("plan_cache_size", "db", "plan_cache_size", "int", False,
                 "Maximum cached statement plans (LRU; 0 disables caching).",
                 minimum=0),
-        Setting("plan_cache_enabled", "db", "plan_cache_enabled", "bool",
-                False, "Master switch for the statement plan cache."),
         Setting("statement_timeout", "db", "statement_timeout", "int", False,
                 "Cancel any statement running longer than this many "
                 "milliseconds (0 disables the timeout).", minimum=0),

@@ -158,12 +158,8 @@ $$ LANGUAGE plpgsql"""
 
 #: (mode label, planner settings) for every BatchedUdf configuration.
 BATCH_MODES = [
-    ("machine", dict(batch_compiled=True, batch_strategy="machine",
-                     batch_dedup=True)),
-    ("machine-nodedup", dict(batch_compiled=True, batch_strategy="machine",
-                             batch_dedup=False)),
-    ("sql", dict(batch_compiled=True, batch_strategy="sql",
-                 batch_dedup=True)),
+    ("machine", dict(batch_compiled=True, batch_dedup=True)),
+    ("machine-nodedup", dict(batch_compiled=True, batch_dedup=False)),
     ("scalar", dict(batch_compiled=False)),
 ]
 
@@ -231,7 +227,7 @@ class TestBatchedUdfEquivalence:
         END; $$ LANGUAGE plpgsql"""
         compiled = compile_plsql(source, db)
         fdef = compiled.register(db, name="jitter_c")
-        assert fdef.batched_query is None
+        assert fdef.batch_machine is None
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (3), (4)")
         assert "BatchedUdf" not in db.explain("SELECT jitter_c(x) FROM t")
@@ -878,6 +874,15 @@ class TestVectorizedDifferential:
         "SELECT a, b FROM v LIMIT 0",
         "SELECT sum(a) FROM v LIMIT 0",
         "SELECT a FROM v WHERE a BETWEEN -5 AND 5 LIMIT 3",
+        "SELECT CASE b WHEN 1 THEN 'one' WHEN 2 THEN s ELSE 'many' END FROM v",
+        "SELECT CAST(a AS text), CAST(b AS double precision), "
+        "CAST(f AS text) FROM v",
+        "SELECT a FROM v WHERE b NOT IN (1, 3) OR a NOT IN (0, NULL)",
+        "SELECT s FROM v WHERE s NOT LIKE 's1%' OR s ILIKE 'S2'",
+        "SELECT -a, -f, +b FROM v",
+        "SELECT s || 'x', s || a FROM v",
+        "SELECT a FROM v WHERE (a % 2 = 0) IS TRUE OR (b = 1) IS NOT TRUE",
+        "SELECT b, sum(-a), count(s || 'x') FROM v GROUP BY b",
     ]
 
     def _both(self, db: Database, sql: str):

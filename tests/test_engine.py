@@ -97,7 +97,7 @@ class TestPlanCache:
         assert tdb.profiler.counts["plan cache miss"] == 1
 
     def test_cache_disabled(self, tdb):
-        tdb.plan_cache_enabled = False
+        tdb.plan_cache_size = 0
         tdb.profiler.reset()
         tdb.query_all("SELECT x FROM t")
         tdb.query_all("SELECT x FROM t")

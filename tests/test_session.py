@@ -119,9 +119,8 @@ class TestPlanCacheLru:
         db.execute("SELECT a FROM t LIMIT 1")
         db.execute("SELECT a FROM t LIMIT 1")
         assert db.profiler.counts[PLAN_CACHE_HIT] == 1
-
-    def test_legacy_plan_cache_enabled_still_honoured(self, db):
-        db.plan_cache_enabled = False
+        # The legacy attribute surface agrees with SET.
+        db.plan_cache_size = 0
         db.profiler.reset()
         db.execute("SELECT a FROM t LIMIT 1")
         db.execute("SELECT a FROM t LIMIT 1")
@@ -155,10 +154,10 @@ class TestSettings:
         assert db.max_udf_depth == 64
         db.execute("SET max_udf_depth = 60 + 4")  # expressions are fine
         assert db.max_udf_depth == 64
-        db.execute("SET batch_strategy = sql")
-        assert db.planner.batch_strategy == "sql"
-        db.execute("SET batch_strategy = 'machine'")
-        assert db.planner.batch_strategy == "machine"
+        db.execute("SET check_function_bodies = error")
+        assert db.check_function_bodies == "error"
+        db.execute("SET check_function_bodies = 'warn'")
+        assert db.check_function_bodies == "warn"
 
     def test_set_default_is_reset(self, db):
         db.execute("SET max_udf_depth = 17")
@@ -173,7 +172,7 @@ class TestSettings:
         with pytest.raises(SettingError, match="unrecognized"):
             db.execute("RESET no_such_setting")
         with pytest.raises(SettingError, match="one of"):
-            db.execute("SET batch_strategy = bogus")
+            db.execute("SET check_function_bodies = bogus")
         with pytest.raises(SettingError, match="boolean"):
             db.execute("SET enable_topn = 'maybe'")
         with pytest.raises(SettingError, match="out of range"):
@@ -186,7 +185,7 @@ class TestSettings:
         assert result.columns == ["name", "setting", "description"]
         names = [row[0] for row in result.rows]
         assert names == sorted(names)
-        for expected in ("enable_rangescan", "batch_strategy",
+        for expected in ("enable_rangescan", "check_function_bodies",
                          "plan_cache_size", "max_interp_statements"):
             assert expected in names
 

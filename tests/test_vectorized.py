@@ -56,15 +56,24 @@ class TestPlanShape:
         assert "VectorScan" in _explain(vdb, sql)
 
     def test_row_only_shapes_keep_the_row_plan(self, vdb):
-        # Joins, ORDER BY, window functions and subqueries all stay on the
-        # row engine; the vectorized core never appears under them.
+        # Joins, ORDER BY, window functions, subqueries, correlated
+        # references, and volatile or user-defined calls (however deeply
+        # nested) all stay on the row engine; the vectorized core never
+        # appears under them.
         vdb.execute("CREATE TABLE u(x int)")
+        vdb.execute("CREATE FUNCTION f(n int) RETURNS int AS "
+                    "'SELECT n + 1' LANGUAGE SQL")
         for sql in [
             "SELECT t.a FROM t, u WHERE t.a = u.x",
             "SELECT a FROM t ORDER BY b",
             "SELECT a, row_number() OVER (ORDER BY a) FROM t",
             "SELECT a, (SELECT max(x) FROM u) FROM t",
+            "SELECT (SELECT count(*) FROM u WHERE u.x = t.a) FROM t",
             "SELECT random() FROM t",
+            "SELECT CASE WHEN a > 0 THEN random() END FROM t",
+            "SELECT sum(a + random()) FROM t",
+            "SELECT coalesce(a, f(a)) FROM t",
+            "SELECT a FROM t WHERE b = 1 AND f(a) > 2",
         ]:
             assert "Vector" not in _explain(vdb, sql), sql
 
