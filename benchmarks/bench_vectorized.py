@@ -12,11 +12,15 @@ claims:
 * **filtered aggregate** (predicate rejects 2/3 of the table, sum the
   rest): ≥ 5x.  Exercises VectorFilter's selection vectors feeding the
   aggregate fold.
+* **range aggregate** (``k < 50000``, 50% selectivity): ≥ 5x.  Both
+  settings plan an ``IndexRangeScan``, so this compares batch and row
+  execution over the same bisected index window.
 
-Two more workloads are reported unasserted (they carry per-row output
-materialization costs the batch engine cannot amortize away):
-**filter+project** (predicate + two-column output) and **grouped
-aggregate** (10 groups).
+Three more workloads are reported unasserted: **filter+project**
+(predicate + two-column output) and **grouped aggregate** (10 groups)
+carry per-row output materialization costs the batch engine cannot
+amortize away, and **selective range** (``k < 2000``, 2%) is dominated by
+the fixed per-statement cost.
 
 All queries verify identical results under both settings before timing.
 ``BENCH_vectorized.json`` is emitted for the cross-PR perf trajectory.
@@ -42,10 +46,18 @@ WORKLOADS = [
      "SELECT k, v FROM big WHERE v % 7 = 3"),
     ("grouped_aggregate",
      "SELECT v % 10, count(*), sum(k) FROM big GROUP BY v % 10"),
+    ("range_aggregate",
+     "SELECT count(*), sum(v) FROM big WHERE k < 50000"),
+    ("selective_range",
+     "SELECT count(*), sum(v) FROM big WHERE k < 2000"),
 ]
 
 #: Workloads gated at >= 5x; the rest are reported for the trajectory.
-GATED = {"full_table_aggregate": 5.0, "filtered_aggregate": 5.0}
+GATED = {"full_table_aggregate": 5.0, "filtered_aggregate": 5.0,
+         "range_aggregate": 5.0}
+
+#: Workloads that must plan an IndexRangeScan under both settings.
+RANGED = {"range_aggregate", "selective_range"}
 
 
 def _build() -> Database:
@@ -58,6 +70,10 @@ def _build() -> Database:
                      [i, (i * 37) % 1000])
     conn.execute("COMMIT")
     return db
+
+
+def _plan(db: Database, query: str) -> str:
+    return "\n".join(row[0] for row in db.execute("EXPLAIN " + query).rows)
 
 
 def _best(db: Database, query: str) -> float:
@@ -83,12 +99,15 @@ def test_vectorized_speedups(write_artifact, write_json):
     for name, query in WORKLOADS:
         db.execute("SET enable_vectorize = on")
         vec_rows = db.execute(query).rows
-        assert "Vector" in db.execute("EXPLAIN " + query).rows[0][0], \
-            f"{name}: expected a vectorized plan"
+        plan = _plan(db, query)
+        assert "Vector" in plan, f"{name}: expected a vectorized plan"
+        assert ("IndexRangeScan" in plan) == (name in RANGED), name
         on_s = _best(db, query)
         db.execute("SET enable_vectorize = off")
         assert db.execute(query).rows == vec_rows, \
             f"{name}: row/batch engines disagree"
+        assert ("IndexRangeScan" in _plan(db, query)) == (name in RANGED), \
+            name
         off_s = _best(db, query)
         speedup = off_s / on_s
         timings[name] = {"vectorized_s": on_s, "row_s": off_s}

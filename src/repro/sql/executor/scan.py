@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from ..errors import ExecutionError, NameResolutionError
@@ -57,8 +58,19 @@ class SeqScanState(PlanState):
         self.pos = pos + 1
         return row
 
+    def next_window(self, size: int) -> Optional[list]:
+        """The next *size* rows at most, for the batch engine (which polls
+        cancellation itself); None once the scan is exhausted."""
+        pos = self.pos
+        if pos >= len(self.rows):
+            return None
+        window = self.rows[pos:pos + size]
+        self.pos = pos + len(window)
+        return window
+
 
 _NO_ROWS: list = []
+_version_data = attrgetter("data")
 
 
 def mirror_outer_context(state, outer):
@@ -172,6 +184,12 @@ class IndexRangeScanPlan(Plan):
       operator's defaults), letting the planner skip the sort,
     * **merge-join input** — ordered delivery feeding
       :class:`~repro.sql.executor.mergejoin.MergeJoinPlan`.
+
+    A bounded forward range under a
+    :class:`~repro.sql.executor.vector.VectorizedCorePlan` is also the
+    batch engine's row source: the state opens exactly as for the row
+    engine, and the batch scan then reads it window by window
+    (:meth:`IndexRangeScanState.next_window`).
 
     ``reverse`` flips the iteration direction (DESC ordering from an ASC
     index and vice versa).  The index is fetched from the table at open —
@@ -288,6 +306,22 @@ class IndexRangeScanState(PlanState):
                 continue
             return version.data
         return None
+
+    def next_window(self, size: int) -> Optional[list]:
+        """The visible row tuples of the next *size* index positions (a
+        forward scan only), for the batch engine, which polls cancellation
+        itself.  A window may be empty when every version in it is
+        invisible; None once the range is exhausted."""
+        pos = self.pos
+        if pos >= self.stop:
+            return None
+        stop = min(self.stop, pos + size)
+        window = self.rows[pos:stop]
+        self.pos = stop
+        if self.check:
+            visible = self.snapshot.visible
+            return [version.data for version in window if visible(version)]
+        return list(map(_version_data, window))
 
 
 class ValuesPlan(Plan):

@@ -6,9 +6,10 @@ dispatch; PR 2 proved it for compiled UDFs.  This module applies the same
 idea to plain SELECT blocks over a single base table: instead of pulling
 one dict-row at a time through the Volcano ``next()`` chain (one
 ``EvalContext`` allocation and a closure-tree walk per row), the engine
-pulls **column batches** of ~:data:`BATCH_SIZE` rows straight from
-``HeapTable.visible_rows`` and evaluates batch-compiled expressions in
-tight loops over the columns.
+pulls **column batches** of ~:data:`BATCH_SIZE` rows straight from the
+table's scan — ``HeapTable.visible_rows`` for a SeqScan, or the bisected
+window of a sorted index for a bounded ``IndexRangeScan`` — and evaluates
+batch-compiled expressions in tight loops over the columns.
 
 **One expression semantics.**  A batch expression is a small
 node→kernel table (:data:`_KERNELS`) plus one generic lift.  Only the
@@ -26,18 +27,20 @@ window or aggregate calls, or correlated references.
 Pipeline stages (one instance per execution, composed by
 :class:`BatchAdapterState`):
 
-* :class:`VectorScan` — slices the table's visible-row snapshot into
-  :class:`Batch` objects.  The snapshot is (re)read at *open* time, never
-  at plan or instantiation time, so same-transaction DML is always seen
-  (the stale-batch read-your-own-writes bug class).  Cancellation is
-  polled once per batch.
+* :class:`VectorScan` — cuts the core's row scan (a SeqScan, or a
+  bounded forward IndexRangeScan) into :class:`Batch` objects.  The scan
+  state is the row engine's own, opened by the row engine's own ``open``
+  (one snapshot read, one bisect), never at plan or instantiation time, so
+  same-transaction DML is always seen (the stale-batch
+  read-your-own-writes bug class).  Cancellation is polled once per
+  window of the scan.
 * :class:`VectorFilter` — evaluates the batch-compiled WHERE predicate
   over the whole batch and attaches a *selection vector* (row indices
   where it is TRUE) instead of copying the columns.
 * :class:`VectorProject` — either a C-speed ``itemgetter`` row projection
   (when every select item is a bare column) or per-item batch evaluators.
 * :class:`VectorAggregate` — grouped/ungrouped aggregation whose
-  accumulators fold each column **in the exact order SeqScan delivers**
+  accumulators fold each column **in the exact order the row scan delivers**
   with the scalar aggregates' own step semantics (see
   :func:`_accumulate`), so row and batch engines are numerically
   identical — including the order-dependent ``avg()`` over
@@ -82,6 +85,7 @@ from ..functions import (SCALAR_BUILTINS, VOLATILE_FUNCTIONS, AvgAgg,
 from ..profiler import VECTOR_BATCHES, VECTOR_ROWS
 from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
+from .scan import SeqScanPlan
 from .select_core import AggStagePlan, SelectCorePlan, SelectCoreState
 
 #: Rows per column batch.  Module-level (not a GUC) so tests can sweep it —
@@ -93,7 +97,7 @@ BATCH_SIZE = 1024
 class Batch:
     """A batch of rows with lazily transposed parallel column vectors.
 
-    ``rows`` is a slice of the table's visible-row snapshot (tuples).
+    ``rows`` is one window of the row scan's visible tuples.
     ``cols`` transposes on first touch — projections that only need
     ``itemgetter`` row access never pay for it.  ``sel`` is the selection
     vector the filter stage attaches: ``None`` means "all rows", otherwise
@@ -296,38 +300,36 @@ _KERNELS: dict = {
 
 
 class VectorScan:
-    """Slices a table's visible-row snapshot into batches.
+    """Cuts a row scan into batches.
 
-    The snapshot is read at :meth:`open` — the same late binding as
-    ``SeqScanState.open`` — so a rescan after same-transaction DML sees
-    the new row list, and a batch can never outlive the ``visible_rows``
-    cache entry it was built from.  Cancellation is polled once per batch
-    (the batch bounds the reaction latency); the profiler counts batches
-    and the rows they carried.
+    *source* is the core's own leaf scan state — a ``SeqScanState`` or a
+    bounded forward ``IndexRangeScanState`` — opened by the core's
+    inherited ``open``, so the snapshot read (and, for a range, the
+    bounds, the probe check and the bisect) happens once per execution
+    in exactly the row engine's code, and a rescan after same-transaction
+    DML sees the new rows.  Each batch is built from the next
+    ``next_window`` of at most :data:`BATCH_SIZE` positions, never the
+    whole range at once.  Cancellation is polled once per window (the
+    window bounds the reaction latency); the profiler counts batches and
+    the rows they carried.
     """
 
-    __slots__ = ("rt", "table", "rows", "pos", "size")
+    __slots__ = ("rt", "source")
 
-    def __init__(self, rt, table):
+    def __init__(self, rt, source):
         self.rt = rt
-        self.table = table
-        self.rows: Sequence[tuple] = ()
-        self.pos = 0
-        self.size = BATCH_SIZE
-
-    def open(self) -> None:
-        self.rows = self.table.rows
-        self.pos = 0
-        self.size = max(1, BATCH_SIZE)
+        self.source = source
 
     def next_batch(self) -> Optional[Batch]:
-        pos = self.pos
-        rows = self.rows
-        if pos >= len(rows):
-            return None
-        self.rt.cancel.check()
-        chunk = rows[pos:pos + self.size]
-        self.pos = pos + len(chunk)
+        size = max(1, BATCH_SIZE)
+        # Each pass consumes up to *size* positions of a finite scan.
+        while True:  # lint: bounded
+            self.rt.cancel.check()
+            chunk = self.source.next_window(size)
+            if chunk is None:
+                return None
+            if chunk:  # a range window may hold only invisible versions
+                break
         profiler = self.rt.db.profiler
         profiler.bump(VECTOR_BATCHES)
         profiler.bump(VECTOR_ROWS, len(chunk))
@@ -561,13 +563,12 @@ class VectorAggregate:
 class VectorSpec:
     """Batch-compiled artifacts of one vectorizable SELECT core."""
 
-    __slots__ = ("table_name", "where_fn", "project", "key_fns", "arg_fns")
+    __slots__ = ("where_fn", "project", "key_fns", "arg_fns")
 
-    def __init__(self, table_name: str, where_fn: Optional[VectorFn],
+    def __init__(self, where_fn: Optional[VectorFn],
                  project: Optional[VectorProject],
                  key_fns: Optional[list[VectorFn]],
                  arg_fns: Optional[list[Optional[VectorFn]]]):
-        self.table_name = table_name
         self.where_fn = where_fn
         self.project = project
         self.key_fns = key_fns
@@ -576,31 +577,36 @@ class VectorSpec:
 
 def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
                    item_exprs: Sequence[A.Expr], scope: Scope,
-                   table_name: str) -> Optional["VectorizedCorePlan"]:
+                   residual: Optional[A.Expr]
+                   ) -> Optional["VectorizedCorePlan"]:
     """Batch-compile *base* (already fully planned for the row engine) into
     a :class:`VectorizedCorePlan`, or return ``None`` when any needed
     expression fails :func:`batch_pure`.
 
     The caller (the planner) has already established the structural
-    preconditions: single non-lateral base-table FROM still on a SeqScan,
-    no ORDER BY, no window/batched-UDF stage.  What remains is expression
-    purity: the WHERE clause, and either every select item (streaming) or
-    every group key and aggregate argument (aggregation — HAVING and the
-    post-aggregation projections run row-wise over the few group rows, so
-    they stay on the scalar closures).
+    preconditions: single non-lateral base-table FROM on a SeqScan or a
+    bounded forward IndexRangeScan, no ORDER BY, no window/batched-UDF
+    stage.  What remains is expression purity: the whole WHERE clause
+    (range bounds included, so a correlated bound keeps the row plan),
+    and either every select item (streaming) or every group key and
+    aggregate argument (aggregation — HAVING and the post-aggregation
+    projections run row-wise over the few group rows, so they stay on the
+    scalar closures).  Only *residual*, the WHERE left after the scan
+    absorbed its range conjuncts, becomes the VectorFilter.
     """
-    where = [core.where] if core.where is not None else []
     stage = base.agg_stage
     if stage is not None:
         if any(not c.star and c.arg_ast is None for c in stage.agg_calls):
             return None
         args = [c.arg_ast for c in stage.agg_calls if not c.star]
-        exprs = where + list(core.group_by) + args
+        exprs = list(core.group_by) + args
     else:
-        exprs = where + list(item_exprs)
-    if not all(batch_pure(e, scope) for e in exprs):
+        exprs = list(item_exprs)
+    checked = exprs if core.where is None else [core.where] + exprs
+    if not all(batch_pure(e, scope) for e in checked):
         return None
-    fns = iter([compile_batch(e, scope) for e in exprs])
+    where = [residual] if residual is not None else []
+    fns = iter([compile_batch(e, scope) for e in where + exprs])
     where_fn = next(fns) if where else None
     project = None
     key_fns: Optional[list[VectorFn]] = None
@@ -610,7 +616,7 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
         arg_fns = [None if c.star else next(fns) for c in stage.agg_calls]
     else:
         project = VectorProject(list(fns))
-    spec = VectorSpec(table_name, where_fn, project, key_fns, arg_fns)
+    spec = VectorSpec(where_fn, project, key_fns, arg_fns)
     return VectorizedCorePlan(base, spec)
 
 
@@ -667,9 +673,10 @@ class VectorizedCorePlan(SelectCorePlan):
         if spec.where_fn is not None:
             lines.append("  " * depth + "-> VectorFilter")
             depth += 1
-        lines.append("  " * depth
-                     + f"-> VectorScan on {spec.table_name} "
-                       f"(batch={BATCH_SIZE})")
+        scan = self.from_plan.source
+        label = (f"VectorScan on {scan.table_name}"
+                 if isinstance(scan, SeqScanPlan) else scan.label())
+        lines.append("  " * depth + f"-> {label} (batch={BATCH_SIZE})")
         return "\n".join(lines)
 
     def instantiate(self, rt, ictx=None) -> "BatchAdapterState":
@@ -688,18 +695,14 @@ class BatchAdapterState(SelectCoreState):
     is observably identical).
     """
 
-    __slots__ = ("_ictx", "_scan", "_filter", "_use_vector", "_poisoned",
+    __slots__ = ("_scan", "_filter", "_use_vector", "_poisoned",
                  "_vbuf", "_vbuf_pos", "_emitted")
 
     def __init__(self, rt, plan: VectorizedCorePlan, ictx):
         super().__init__(rt, plan, ictx)
-        self._ictx = ictx
-        table = rt.catalog.tables.get(plan.vspec.table_name)
-        if table is None:
-            from ..errors import NameResolutionError
-            raise NameResolutionError(
-                f"unknown table {plan.vspec.table_name!r}")
-        self._scan = VectorScan(rt, table)
+        # Batches come from the FROM leaf's own scan state, which the
+        # inherited open() opens for either engine.
+        self._scan = VectorScan(rt, self.from_state.source)
         self._filter = (VectorFilter(plan.vspec.where_fn)
                         if plan.vspec.where_fn is not None else None)
         self._use_vector = True
@@ -717,7 +720,6 @@ class BatchAdapterState(SelectCoreState):
             self._vbuf_pos = 0
             self._emitted = 0
             try:
-                self._scan.open()
                 super().open(outer)  # aggregation runs vectorized in here
                 return
             except QueryCanceledError:

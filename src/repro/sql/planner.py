@@ -444,22 +444,23 @@ class Planner:
             distinct=core.distinct and not hidden,
             batch_stage=batch_stage,
         )
-        # Vectorization: a single-table SELECT core still on a plain
-        # SeqScan (index pushdown, range scans and sort elimination keep
-        # the row path) with no ORDER BY / window / batched-UDF stage can
-        # run batch-at-a-time.  The WHERE clause is batch-compiled from
-        # the *original* AST — predicate pushdown split it between leaf
-        # filter and residual, and for pure predicates the conjunction is
-        # equivalent.  vectorize_core returns None when any expression is
-        # not batch-pure, keeping this plan unchanged.
+        # Vectorization: a single-table SELECT core with no ORDER BY /
+        # window / batched-UDF stage can run batch-at-a-time when its scan
+        # is a SeqScan or a bounded forward IndexRangeScan (an equality
+        # IndexScan, and the unbounded ordered scans that sort elimination
+        # and merge joins use, keep the row path).  The batch engine reads
+        # the same scan, so only the residual WHERE — what the range did
+        # not absorb — is batch-compiled.  vectorize_core returns None
+        # when any expression (range bounds included) is not batch-pure,
+        # keeping this plan unchanged.
         if (not order_by and self.enable_vectorize
                 and window_stage is None and batch_stage is None
                 and len(relations) == 1
                 and isinstance(from_plan, FromLeafPlan)
                 and not from_plan.lateral
-                and isinstance(from_plan.source, SeqScanPlan)):
+                and _batch_scan(from_plan.source)):
             vectorized = vectorize_core(plan, core, item_exprs, scope,
-                                        from_plan.source.table_name)
+                                        residual_where)
             if vectorized is not None:
                 plan = vectorized
         if hidden:
@@ -1433,12 +1434,22 @@ def _contains_lateral(plan) -> bool:
     return _contains_lateral(plan.left) or _contains_lateral(plan.right)
 
 
+def _batch_scan(source: Plan) -> bool:
+    """Can the batch engine read *source* window by window?"""
+    if isinstance(source, SeqScanPlan):
+        return True
+    return (isinstance(source, IndexRangeScanPlan) and not source.reverse
+            and (source.lower is not None or source.upper is not None))
+
+
 def _display_expr(expr: A.Expr) -> str:
-    """Terse rendering of a join-key expression for EXPLAIN output."""
+    """Terse rendering of a key or bound expression for EXPLAIN output."""
     if isinstance(expr, A.ColumnRef):
         return ".".join(expr.parts)
     if isinstance(expr, A.Literal):
         return repr(expr.value)
+    if isinstance(expr, A.Param):
+        return f"${expr.index}"
     return "<expr>"
 
 

@@ -60,7 +60,7 @@ BATCHED_UDF_ROWS = "batched udf rows"
 BATCHED_UDF_DISTINCT = "batched udf distinct calls"
 #: Ordered access paths: one "build" per sorted index constructed (lazily
 #: by a scan, or eagerly by CREATE INDEX), one "scan" per IndexRangeScan
-#: open (each correlated re-probe is one open), one TopN bump per bounded
+#: open, row or vectorized (each correlated re-probe is one open), one TopN bump per bounded
 #: heap evaluation ("input rows" counts what streamed through the heap
 #: instead of a full sort), and one merge-join bump per operator open.
 SORTED_INDEX_BUILDS = "sorted index builds"
@@ -114,8 +114,8 @@ SERVER_ERRORS = "server query errors"
 SERVER_SLOW_QUERIES = "server slow queries"
 #: Vectorized execution (executor/vector.py): one "batch" per column
 #: batch the VectorScan stage produced (cancellation is polled once per
-#: batch), "rows" summing the rows those batches carried before
-#: filtering.  A statement that falls back to the row engine mid-flight
+#: window), "rows" summing the visible rows those batches carried before
+#: filtering — for a vectorized IndexRangeScan, the rows in range.  A statement that falls back to the row engine mid-flight
 #: keeps the bumps of the batches it already produced.
 VECTOR_BATCHES = "vector batches"
 VECTOR_ROWS = "vector rows"

@@ -883,6 +883,16 @@ class TestVectorizedDifferential:
         "SELECT s || 'x', s || a FROM v",
         "SELECT a FROM v WHERE (a % 2 = 0) IS TRUE OR (b = 1) IS NOT TRUE",
         "SELECT b, sum(-a), count(s || 'x') FROM v GROUP BY b",
+        # Bounded index ranges: the batch engine reads the same bisected
+        # window as the row IndexRangeScan.
+        "SELECT a, b FROM v WHERE b < 3",
+        "SELECT count(*), sum(a) FROM v WHERE 3 <= b",
+        "SELECT a, s FROM v WHERE b >= 2 AND b < 5 AND a % 2 = 0",
+        "SELECT count(*), sum(b), avg(a) FROM v WHERE b > 2.5",
+        "SELECT a FROM v WHERE b < NULL",
+        "SELECT b, count(*), sum(f), avg(f), max(f) FROM v "
+        "WHERE f > 0.5 GROUP BY b",
+        "SELECT a, b FROM v WHERE b BETWEEN 1 AND 2 LIMIT 3",
     ]
 
     def _both(self, db: Database, sql: str):

@@ -198,6 +198,9 @@ class TestOrderedDelivery:
         assert db.query_all(
             "SELECT b FROM t WHERE b >= 10 AND b < 20 ORDER BY b DESC "
             "LIMIT 3") == [(19,), (18,), (17,)]
+        # A parameter bound renders as its placeholder.
+        assert "IndexRangeScan on t (b >= 10, b < $1, DESC)" in db.explain(
+            "SELECT b FROM t WHERE b >= 10 AND b < $1 ORDER BY b DESC")
 
     def test_flag_disables_elimination(self, db):
         db.execute("CREATE INDEX t_b ON t(b)")

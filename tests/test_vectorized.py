@@ -1,6 +1,7 @@
 """The vectorized executor core (executor/vector.py): plan shape, the
 profiler's batch counters, the statement-level row fallback, snapshot
-freshness under same-transaction DML, and cancellation.
+freshness under same-transaction DML, cancellation, and batches read from
+a bounded index range.
 
 Numeric parity lives in ``test_fuzz_regressions.py`` (the adversarial
 bigint sweep) and ``test_differential.py`` (randomized row/batch
@@ -10,11 +11,14 @@ executor's *mechanics*.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.sql import Database
-from repro.sql.errors import ExecutionError, QueryCanceledError
-from repro.sql.executor import vector
+from repro.sql.errors import ExecutionError, QueryCanceledError, TypeError_
+from repro.sql.executor import scan, vector
+from repro.sql.profiler import INDEX_RANGE_SCANS, VECTOR_BATCHES, VECTOR_ROWS
 
 
 @pytest.fixture()
@@ -220,3 +224,98 @@ class TestCancellation:
         monkeypatch.setattr(cancel_mod.CancelToken, "check", counting_check)
         vdb.execute("SELECT sum(a) FROM t")
         assert polls["n"] >= 5  # one per 2-row batch over 10 rows
+
+
+# ---------------------------------------------------------------------------
+# Bounded index ranges: the batch engine reads the bisected window
+# ---------------------------------------------------------------------------
+
+
+RANGE_SUM = "SELECT count(*), sum(a) FROM t WHERE b < $1"
+
+
+class TestIndexRange:
+    def test_range_aggregate_is_vectorized_over_the_range(self, vdb):
+        text = _explain(vdb, RANGE_SUM)
+        assert "VectorizedAggregate+Select" in text
+        assert "-> IndexRangeScan on t (b < $1) " \
+               f"(batch={vector.BATCH_SIZE})" in text
+        # The range already applied its bound: no filter stage.
+        assert "VectorFilter" not in text
+        text = _explain(vdb, "SELECT a FROM t WHERE b >= 1 AND a % 2 = 0")
+        assert "VectorFilter" in text
+        assert "IndexRangeScan on t (b >= 1)" in text
+
+    def test_correlated_and_ordered_ranges_keep_the_row_plan(self, vdb):
+        vdb.execute("CREATE TABLE u(x int)")
+        vdb.execute("CREATE INDEX t_b ON t(b)")
+        for sql in [
+            "SELECT u.x, s.n FROM u, "
+            "LATERAL (SELECT count(*) AS n FROM t WHERE t.b < u.x) s",
+            "SELECT b FROM t WHERE b < 2 ORDER BY b",
+            "SELECT b FROM t ORDER BY b",
+        ]:
+            text = _explain(vdb, sql)
+            assert "IndexRangeScan" in text and "Vector" not in text, sql
+
+    def test_one_range_scan_and_range_rows_per_execution(self, vdb,
+                                                         monkeypatch):
+        monkeypatch.setattr(vector, "BATCH_SIZE", 3)
+        vdb.profiler.reset()
+        for runs in (1, 2):
+            assert vdb.execute(RANGE_SUM, [1]).rows == [(4, 18)]
+            counts = vdb.profiler.counts
+            assert counts[INDEX_RANGE_SCANS] == runs
+            # b = 0 on 4 of the 10 rows: the batches carry the range only.
+            assert counts[VECTOR_ROWS] == 4 * runs
+            assert counts[VECTOR_BATCHES] == 2 * runs
+
+    def test_mvcc_visibility_inside_and_outside_the_transaction(self, vdb):
+        sql = "SELECT count(*), sum(a) FROM t WHERE b < 1"
+        assert "Vectorized" in _explain(vdb, sql)
+        writer, reader = vdb.connect(), vdb.connect()
+        writer.execute("BEGIN")
+        writer.execute("UPDATE t SET a = a + 100 WHERE b = 0")
+        writer.execute("UPDATE t SET b = 0 WHERE a = 1")  # moves into range
+        assert writer.execute(sql).rows == [(5, 419)]
+        assert reader.execute(sql).rows == [(4, 18)]
+        writer.execute("ROLLBACK")
+        assert writer.execute(sql).rows == [(4, 18)]
+        assert reader.execute(sql).rows == [(4, 18)]
+
+    def test_incomparable_bound_raises_like_the_row_engine(self, vdb):
+        sql = "SELECT count(*), sum(a) FROM t WHERE b < 'x'"
+        assert "Vectorized" in _explain(vdb, sql)
+        with pytest.raises(TypeError_) as vec_err:
+            vdb.execute(sql)
+        vdb.execute("SET enable_vectorize = off")
+        with pytest.raises(TypeError_) as row_err:
+            vdb.execute(sql)
+        assert type(vec_err.value) is type(row_err.value)
+        assert str(vec_err.value) == str(row_err.value)
+
+    def test_statement_timeout_fires_during_the_range_scan(self, db,
+                                                           monkeypatch):
+        db.execute("CREATE TABLE big(a int, b int)")
+        table = db.catalog.get_table("big")
+        for i in range(4000):
+            table.insert((i, i % 100))
+        monkeypatch.setattr(vector, "BATCH_SIZE", 8)
+        windows = scan.IndexRangeScanState.next_window
+
+        def slow_window(self, size):
+            time.sleep(0.002)  # ~1.6 s over the 800 windows of the range
+            return windows(self, size)
+
+        monkeypatch.setattr(scan.IndexRangeScanState, "next_window",
+                            slow_window)
+        sql = "SELECT count(*), sum(a) FROM big WHERE b < 80"
+        assert "IndexRangeScan" in _explain(db, sql)
+        db.execute("SET statement_timeout = 50")
+        db.profiler.reset()
+        started = time.monotonic()
+        with pytest.raises(QueryCanceledError, match="statement timeout"):
+            db.execute(sql)
+        assert time.monotonic() - started < 1.0
+        assert db.profiler.counts[VECTOR_BATCHES] >= 1
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 1  # no fallback
